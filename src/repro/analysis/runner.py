@@ -54,6 +54,7 @@ from repro.workloads.trace import KernelTrace, load_trace_file
 
 __all__ = [
     "ExperimentRunner",
+    "JobSpec",
     "atomic_write_json",
     "config_hash",
     "prefetch_parallel",
@@ -94,18 +95,35 @@ def _file_fingerprint(path: str) -> str:
     return h.hexdigest()[:12]
 
 
-def run_one_job(job: tuple) -> tuple:
+@dataclasses.dataclass(frozen=True)
+class JobSpec:
+    """One sweep job as shipped to a worker (picklable, immutable)."""
+
+    config: SimConfig
+    scale: str  # Scale member name
+    kind: str
+    bench: str
+    scheduler: str
+    seed: int
+    perfect: bool
+    cache_dir: Optional[str]
+    checkpoint_period_ns: float = 0.0
+    trace_paths: Optional[dict] = None
+
+    def __getitem__(self, index: int):
+        """Positional access in field order, for callers written against
+        the tuple this replaced (perfbench labels job spans by ``[3]``
+        and ``[4]``)."""
+        return getattr(self, dataclasses.fields(self)[index].name)
+
+
+def run_one_job(job: JobSpec) -> tuple:
     """Worker entry point for parallel sweeps (must be module-level for
-    pickling).  ``job`` = (config, scale_name, kind, bench, scheduler,
-    seed, perfect, cache_dir[, checkpoint_period_ns[, trace_paths]]);
-    returns
-    ((bench, scheduler, seed, perfect), summary, meta) where ``meta``
-    records whether the job actually simulated (and whether it resumed
-    from a checkpoint) plus its wall time and engine event count.
+    pickling).  Returns ((bench, scheduler, seed, perfect), summary, meta)
+    where ``meta`` records whether the job actually simulated (and whether
+    it resumed from a checkpoint) plus its wall time and engine event
+    count.
     """
-    config, scale_name, kind, bench, scheduler, seed, perfect, cache_dir = job[:8]
-    checkpoint_period_ns = job[8] if len(job) > 8 else 0.0
-    trace_paths = job[9] if len(job) > 9 else None
     # Chaos window at job entry (inert unless REPRO_CHAOS arms it): lets
     # the fault tests hang or SIGKILL a worker at a defined protocol
     # step — the timeout supervisor and the cluster's lease reclaim are
@@ -113,18 +131,18 @@ def run_one_job(job: tuple) -> tuple:
     from repro.cluster.chaos import chaos_point
 
     chaos_point("job-start")
-    _maybe_inject_crash(cache_dir, bench, scheduler, seed)
+    _maybe_inject_crash(job.cache_dir, job.bench, job.scheduler, job.seed)
     runner = ExperimentRunner(
-        config=config,
-        scale=Scale[scale_name],
-        seeds=(seed,),
-        kind=kind,
-        cache_dir=cache_dir,
-        checkpoint_period_ns=checkpoint_period_ns,
-        trace_paths=trace_paths,
+        config=job.config,
+        scale=Scale[job.scale],
+        seeds=(job.seed,),
+        kind=job.kind,
+        cache_dir=job.cache_dir,
+        checkpoint_period_ns=job.checkpoint_period_ns,
+        trace_paths=job.trace_paths,
     )
     t0 = time.time()
-    summary = runner.run(bench, scheduler, seed, perfect)
+    summary = runner.run(job.bench, job.scheduler, job.seed, job.perfect)
     meta = {
         "simulated": runner.last_outcome in ("simulated", "resumed"),
         "resumed": runner.last_outcome == "resumed",
@@ -132,7 +150,7 @@ def run_one_job(job: tuple) -> tuple:
         "sim_events": summary.get("sim_events", 0.0),
         "sim_wall_s": summary.get("sim_wall_s", 0.0),
     }
-    return (bench, scheduler, seed, perfect), summary, meta
+    return (job.bench, job.scheduler, job.seed, job.perfect), summary, meta
 
 
 def _maybe_inject_crash(cache_dir, bench: str, scheduler: str, seed: int) -> None:

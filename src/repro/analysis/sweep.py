@@ -62,7 +62,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.runner import ExperimentRunner, atomic_write_json, run_one_job
+from repro.analysis.runner import (
+    ExperimentRunner,
+    JobSpec,
+    atomic_write_json,
+    run_one_job,
+)
 from repro.analysis.schema import SWEEP_SCHEMA
 from repro.cluster.retry import RetryPolicy
 
@@ -466,18 +471,18 @@ def run_sweep(
             f"({n_failed} failed) | {elapsed:.0f}s elapsed, eta {eta:.0f}s"
         )
 
-    def payload(job: SweepJob) -> tuple:
-        return (
-            runner.config,
-            job.scale,
-            runner.kind,
-            job.bench,
-            job.scheduler,
-            job.seed,
-            job.perfect,
-            runner.cache_dir,
-            runner.checkpoint_period_ns,
-            runner.trace_paths or None,
+    def payload(job: SweepJob) -> JobSpec:
+        return JobSpec(
+            config=runner.config,
+            scale=job.scale,
+            kind=runner.kind,
+            bench=job.bench,
+            scheduler=job.scheduler,
+            seed=job.seed,
+            perfect=job.perfect,
+            cache_dir=runner.cache_dir,
+            checkpoint_period_ns=runner.checkpoint_period_ns,
+            trace_paths=runner.trace_paths or None,
         )
 
     def fail(

@@ -36,11 +36,14 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cluster.chaos import chaos_point
 from repro.cluster.store import JobStore
 from repro.core.atomic import atomic_write_json
+
+if TYPE_CHECKING:
+    from repro.analysis.runner import JobSpec
 
 __all__ = ["ClusterWorker", "WorkerStats", "default_worker_id"]
 
@@ -160,19 +163,21 @@ class ClusterWorker:
             )
         return self._naming_runner
 
-    def _payload(self, record: dict) -> tuple:
+    def _payload(self, record: dict) -> JobSpec:
+        from repro.analysis.runner import JobSpec
+
         meta = self.store.meta
-        return (
-            self._build_config(),
-            record["scale"],
-            record["kind"],
-            record["bench"],
-            record["scheduler"],
-            record["seed"],
-            record["perfect"],
-            meta["cache_dir"],
-            float(meta.get("checkpoint_period_ns", 0.0)),
-            meta.get("trace_paths") or None,
+        return JobSpec(
+            config=self._build_config(),
+            scale=record["scale"],
+            kind=record["kind"],
+            bench=record["bench"],
+            scheduler=record["scheduler"],
+            seed=record["seed"],
+            perfect=record["perfect"],
+            cache_dir=meta["cache_dir"],
+            checkpoint_period_ns=float(meta.get("checkpoint_period_ns", 0.0)),
+            trace_paths=meta.get("trace_paths") or None,
         )
 
     def _checkpoint_of(self, record: dict) -> str:

@@ -62,6 +62,10 @@ def bfs_trace(
     Multiple sources (benchmark-harness style) make the frontier dense
     quickly, so the emitted warps reflect the steady-state levels rather
     than the trivial first hops.
+
+    Each level is expanded with whole-level array operations; only the
+    emitted warps run per-lane Python.  The order of discovery is the
+    kernel's: block by block, edge step by edge step, lane by lane.
     """
     rng = np.random.default_rng(seed)
     row_ptr, col = random_csr(n_vertices, avg_degree, rng, locality=0.7)
@@ -84,56 +88,78 @@ def bfs_trace(
     warps_emitted = 0
     level = 0
     while in_frontier.any() and warps_emitted < max_frontier_warps:
-        next_frontier = np.zeros(n_vertices, dtype=bool)
         lanes_per_block = np.add.reduceat(in_frontier, np.arange(0, n_vertices, 32))
         active_blocks = np.flatnonzero(lanes_per_block)
+        frontier = np.flatnonzero(in_frontier)
         # Spend the warp budget on steady-state levels: while the frontier
         # is still thin (a lane or two per warp), expand it without
         # emitting trace warps — real benchmark harnesses skip the trivial
         # warm-up hops the same way.
-        emit = bool(len(active_blocks)) and lanes_per_block[active_blocks].mean() >= 3.0
-        for blk in active_blocks:
-            vs = np.arange(blk * 32, min(blk * 32 + 32, n_vertices))
-            mask = in_frontier[vs]
-            wb = None
-            if emit and warps_emitted < max_frontier_warps:
-                wb = tb.new_warp()
-                warps_emitted += 1
-                # frontier flags + row_ptr: consecutive ids, coalesced
-                wb.compute(6).load_stream(a_frontier, int(vs[0]))
-                wb.compute(2).load_stream(a_rowptr, int(vs[0]))
-            deg = np.where(mask, row_ptr[vs + 1] - row_ptr[vs], 0)
-            steps = _edge_steps(deg, max_edge_steps)
-            for k in range(steps):
-                active = deg > k
-                if not active.any():
-                    break
-                eidx = np.minimum(row_ptr[vs] + k, len(col) - 1)
-                nbr = col[eidx]
-                if wb is not None:
-                    # col_idx[e]: active lanes walk their adjacency runs
-                    wb.compute(2).load_gather(
-                        a_col, [int(e) if a else None for e, a in zip(eidx, active)]
-                    )
-                    # dist[neighbor]: the data-dependent gather (highest MAI)
-                    wb.compute(1).load_gather(
-                        a_dist, [int(x) if a else None for x, a in zip(nbr, active)]
-                    )
-                discovered = []
-                for x, a in zip(nbr, active):
-                    if a and dist[x] < 0:
-                        dist[x] = level + 1
-                        next_frontier[x] = True
-                        discovered.append(int(x))
-                    else:
-                        discovered.append(None)
-                if wb is not None and any(d is not None for d in discovered):
-                    wb.store_gather(a_dist, discovered)
-            if wb is not None:
-                wb.compute(4)
-        in_frontier = next_frontier
+        emit = lanes_per_block[active_blocks].mean() >= 3.0
+        if emit:
+            # Blocks past the budget end the trace: nothing they discover
+            # is ever observed, so they are not expanded.
+            active_blocks = active_blocks[: max_frontier_warps - warps_emitted]
+            frontier = frontier[frontier < (active_blocks[-1] + 1) * 32]
+
+        # Candidates: (frontier vertex, edge step k < its capped degree),
+        # in the order the kernel visits them: (block, k, lane).
+        steps = np.minimum(row_ptr[frontier + 1] - row_ptr[frontier], max_edge_steps)
+        cand_v = np.repeat(frontier, steps)
+        cand_k = np.arange(len(cand_v)) - np.repeat(np.cumsum(steps) - steps, steps)
+        order = np.lexsort((cand_v, cand_k, cand_v // 32))
+        cand_v, cand_k = cand_v[order], cand_k[order]
+        eidx = np.minimum(row_ptr[cand_v] + cand_k, len(col) - 1)
+        nbr = col[eidx]
+        # A neighbour unvisited at level start is discovered by the first
+        # candidate to reach it; later duplicates see it visited.
+        unseen = np.flatnonzero(dist[nbr] < 0)
+        _, first = np.unique(nbr[unseen], return_index=True)
+        discovers = np.zeros(len(nbr), dtype=bool)
+        discovers[unseen[first]] = True
+        found = nbr[discovers]
+        dist[found] = level + 1
+        in_frontier = np.zeros(n_vertices, dtype=bool)
+        in_frontier[found] = True
         level += 1
+        if not emit:
+            continue
+
+        cand_block = cand_v // 32
+        lo = np.searchsorted(cand_block, active_blocks, side="left")
+        hi = np.searchsorted(cand_block, active_blocks, side="right")
+        for blk, b_lo, b_hi in zip(active_blocks.tolist(), lo.tolist(), hi.tolist()):
+            first_v = blk * 32
+            wb = tb.new_warp()
+            warps_emitted += 1
+            # frontier flags + row_ptr: consecutive ids, coalesced
+            wb.compute(6).load_stream(a_frontier, first_v)
+            wb.compute(2).load_stream(a_rowptr, first_v)
+            ks = cand_k[b_lo:b_hi]
+            n_steps = int(ks[-1]) + 1 if len(ks) else 0
+            bounds = b_lo + np.searchsorted(ks, np.arange(n_steps + 1))
+            for s_lo, s_hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                lanes = (cand_v[s_lo:s_hi] - first_v).tolist()
+                # col_idx[e]: active lanes walk their adjacency runs
+                wb.compute(2).load_gather(a_col, _lane_list(lanes, eidx[s_lo:s_hi].tolist()))
+                # dist[neighbor]: the data-dependent gather (highest MAI)
+                step_nbr = nbr[s_lo:s_hi].tolist()
+                wb.compute(1).load_gather(a_dist, _lane_list(lanes, step_nbr))
+                hit = discovers[s_lo:s_hi].tolist()
+                if any(hit):
+                    stored = [x if h else None for x, h in zip(step_nbr, hit)]
+                    wb.store_gather(a_dist, _lane_list(lanes, stored))
+            wb.compute(4)
     return tb.build()
+
+
+def _lane_list(lanes: list, values: list) -> list:
+    """One 32-vertex block's lane slots: ``values`` at ``lanes``, None
+    elsewhere (the lane emitter pads or truncates to the warp size)."""
+    out = [None] * 32
+    for lane, value in zip(lanes, values):
+        out[lane] = value
+    return out
 
 
 def sssp_trace(

@@ -72,13 +72,11 @@ class WarpBuilder:
     def _lanes_from_elems(
         self, base: int, elem_idx: Sequence[Optional[int]], elem_bytes: int
     ) -> list[Optional[int]]:
-        lanes: list[Optional[int]] = []
-        for i in range(self.warp_size):
-            if i < len(elem_idx) and elem_idx[i] is not None:
-                lanes.append(base + int(elem_idx[i]) * elem_bytes)
-            else:
-                lanes.append(None)
-        return lanes
+        lanes: list[Optional[int]] = [
+            None if e is None else base + int(e) * elem_bytes
+            for e in elem_idx[: self.warp_size]
+        ]
+        return lanes + [None] * (self.warp_size - len(lanes))
 
     def load_gather(
         self,

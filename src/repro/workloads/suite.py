@@ -8,13 +8,13 @@ generator at the requested scale.  ``Scale`` trades fidelity for run time:
 * ``QUICK`` — default experiment scale (tens of seconds per simulation);
 * ``PAPER`` — full-size runs for the committed EXPERIMENTS.md numbers.
 
-Traces are deterministic in (name, scale, seed) and can be cached to
-``.npz`` via ``cache_dir``.
+Traces are deterministic in (name, scale, seed) and the generator-relevant
+parts of the config (``gpu.num_sms``, ``gpu.warp_size``).  Persist one with
+``KernelTrace.save``/``load`` when needed.
 """
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from typing import Callable
 
@@ -149,19 +149,10 @@ def build_benchmark(
     config: SimConfig,
     scale: Scale = Scale.QUICK,
     seed: int = 1,
-    cache_dir: str | None = None,
 ) -> KernelTrace:
-    """Build (or load from cache) the named benchmark's kernel trace."""
+    """Build the named benchmark's kernel trace."""
     try:
         builder = _ALL[name]
     except KeyError:
         raise ValueError(f"unknown benchmark {name!r}; choose from {sorted(_ALL)}") from None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"{name}-{scale.name}-s{seed}.npz")
-        if os.path.exists(path):
-            return KernelTrace.load(path)
-        trace = builder(config, scale.factor, seed)
-        trace.save(path)
-        return trace
     return builder(config, scale.factor, seed)

@@ -61,18 +61,15 @@ def test_signature_empty_trace():
 
 # -- parallel sweep -------------------------------------------------------------
 def test_run_one_job_roundtrip(tmp_path):
-    from repro.analysis.runner import run_one_job
+    from repro.analysis.runner import JobSpec, run_one_job
 
-    key, summary, meta = run_one_job(
-        (SimConfig(), "TINY", "synthetic", "sad", "gmc", 1, False, str(tmp_path))
-    )
+    job = JobSpec(SimConfig(), "TINY", "synthetic", "sad", "gmc", 1, False, str(tmp_path))
+    key, summary, meta = run_one_job(job)
     assert key == ("sad", "gmc", 1, False)
     assert summary["ipc"] > 0
     assert meta["simulated"] and meta["sim_events"] > 0
     # A second invocation is served from the disk cache.
-    _key, _summary, meta2 = run_one_job(
-        (SimConfig(), "TINY", "synthetic", "sad", "gmc", 1, False, str(tmp_path))
-    )
+    _key, _summary, meta2 = run_one_job(job)
     assert not meta2["simulated"]
 
 
