@@ -140,10 +140,20 @@ class Lease:
                 os.rename(self.path, grave)
             except OSError:
                 return False  # someone else stole (or the owner renewed)
+            stolen = Lease(grave, self.expiry_s).read()
+            if stolen != info:
+                # The lease changed between our read and the rename (another
+                # thief's claim, or the owner's renewal): hand it back.
+                try:
+                    os.link(grave, self.path)
+                except OSError:
+                    pass  # the slot was claimed again; the owner sees it on renew
             try:
                 os.unlink(grave)
             except OSError:
                 pass
+            if stolen != info:
+                return False
         tmp = self._write_tmp(self._document(owner, attempt, time.time()))
         chaos_point("lease-tmp")  # crash window: doc written, not yet linked
         try:

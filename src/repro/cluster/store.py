@@ -321,7 +321,9 @@ class JobStore:
         """
         directory = self._failure_dir(job_id)
         os.makedirs(directory, exist_ok=True)
-        seq = len(os.listdir(directory)) + 1
+        # Count records only: a concurrent publisher's temp file would
+        # start the scan past the first free number and leave a gap.
+        seq = sum(1 for n in os.listdir(directory) if not n.startswith(".")) + 1
         while True:
             path = os.path.join(directory, f"{seq:04d}.json")
             if _publish_exclusive(path, {**doc, "seq": seq}):
